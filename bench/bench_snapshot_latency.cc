@@ -12,11 +12,14 @@
 // with (small) design size; readback/CRIU are flat.
 //
 // The table reports modeled hardware time; the google-benchmark section
-// below it measures the host wall-clock cost of actually shifting the
-// emulated scan chain and of the simulator state dump.
+// below it measures the host wall-clock cost of emulating the scan pass
+// (word-level and bit-serial; both model the same fabric cycles) and of
+// the simulator state dump.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <cstdio>
+#include <map>
 
 #include "bench_json.h"
 #include "bus/sim_target.h"
@@ -113,26 +116,75 @@ void PrintTable() {
       "pass stays full-length, only the transferred payload shrinks)\n\n");
 }
 
-// Wall-clock: one full scan save on the emulated fabric.
-void BM_ScanChainSave(benchmark::State& bm_state) {
-  auto d = rtl::CompileVerilog(periph::BuildSoc(periph::DefaultCorpus()),
-                               "soc");
-  HS_CHECK(d.ok());
-  auto inst = scanchain::InsertScanChain(d.value());
-  HS_CHECK(inst.ok());
-  auto sim = sim::Simulator::Create(inst.value().design);
-  HS_CHECK(sim.ok());
-  sim::Simulator simulator = std::move(sim).value();
-  HS_CHECK(simulator.PokeInput("uart_rx", 1).ok());
-  scanchain::ScanController ctrl(&simulator, inst.value().map);
-  for (auto _ : bm_state) {
-    auto saved = ctrl.Save();
-    benchmark::DoNotOptimize(saved);
+// The SoC's instrumented netlist on a simulator, driven by its scan
+// controller (the object must stay put: the controller points into it).
+struct SocScan {
+  SocScan() : inst(Instrument()), sim(Simulate(inst)), ctrl(&sim, inst.map) {
+    HS_CHECK(sim.PokeInput("uart_rx", 1).ok());
   }
-  bm_state.SetLabel(std::to_string(inst.value().map.total_bits) +
-                    " chain bits");
+  static scanchain::InstrumentedDesign Instrument() {
+    auto d = rtl::CompileVerilog(periph::BuildSoc(periph::DefaultCorpus()),
+                                 "soc");
+    HS_CHECK(d.ok());
+    auto inst = scanchain::InsertScanChain(d.value());
+    HS_CHECK(inst.ok());
+    return std::move(inst).value();
+  }
+  static sim::Simulator Simulate(const scanchain::InstrumentedDesign& inst) {
+    auto sim = sim::Simulator::Create(inst.design);
+    HS_CHECK(sim.ok());
+    return std::move(sim).value();
+  }
+
+  scanchain::InstrumentedDesign inst;
+  sim::Simulator sim;
+  scanchain::ScanController ctrl;
+};
+
+// Host microseconds per pass from the last run of each scan benchmark,
+// written to BENCH_snapshot_latency.json beside the modeled table.
+std::map<std::string, double>& HostMicros() {
+  static std::map<std::string, double> micros;
+  return micros;
 }
-BENCHMARK(BM_ScanChainSave)->Unit(benchmark::kMillisecond);
+
+template <typename Pass>
+void TimePasses(benchmark::State& bm_state, const std::string& key,
+                Pass pass) {
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : bm_state) pass();
+  const std::chrono::duration<double, std::micro> spent =
+      std::chrono::steady_clock::now() - start;
+  if (bm_state.iterations() > 0)
+    HostMicros()[key] =
+        spent.count() / static_cast<double>(bm_state.iterations());
+}
+
+// Wall-clock: one full scan save on the emulated fabric. Save/Restore take
+// the word-level pass (the SoC chain holds every flop); the *Serial twins
+// clock the netlist once per shifted bit and memory word, as the fabric
+// does. Both advance the fabric by the same PassCycles().
+void BM_ScanChainSave(benchmark::State& bm_state) {
+  SocScan scan;
+  TimePasses(bm_state, "host.scan_save_us", [&] {
+    auto saved = scan.ctrl.Save();
+    benchmark::DoNotOptimize(saved);
+  });
+  bm_state.SetLabel(std::to_string(scan.inst.map.total_bits) +
+                    " chain bits, word-level");
+}
+BENCHMARK(BM_ScanChainSave)->Unit(benchmark::kMicrosecond);
+
+void BM_ScanChainSaveSerial(benchmark::State& bm_state) {
+  SocScan scan;
+  TimePasses(bm_state, "host.scan_save_serial_us", [&] {
+    auto saved = scan.ctrl.SaveSerial();
+    benchmark::DoNotOptimize(saved);
+  });
+  bm_state.SetLabel(std::to_string(scan.inst.map.total_bits) +
+                    " chain bits, bit-serial");
+}
+BENCHMARK(BM_ScanChainSaveSerial)->Unit(benchmark::kMillisecond);
 
 // Wall-clock: simulator-native state dump (the primitive under CRIU).
 void BM_SimulatorDumpState(benchmark::State& bm_state) {
@@ -150,24 +202,26 @@ BENCHMARK(BM_SimulatorDumpState)->Unit(benchmark::kMicrosecond);
 
 // Wall-clock: restore through the scan chain (emulated fabric).
 void BM_ScanChainRestore(benchmark::State& bm_state) {
-  auto d = rtl::CompileVerilog(periph::BuildSoc(periph::DefaultCorpus()),
-                               "soc");
-  HS_CHECK(d.ok());
-  auto inst = scanchain::InsertScanChain(d.value());
-  HS_CHECK(inst.ok());
-  auto sim = sim::Simulator::Create(inst.value().design);
-  HS_CHECK(sim.ok());
-  sim::Simulator simulator = std::move(sim).value();
-  HS_CHECK(simulator.PokeInput("uart_rx", 1).ok());
-  scanchain::ScanController ctrl(&simulator, inst.value().map);
-  auto snapshot = ctrl.Save();
+  SocScan scan;
+  auto snapshot = scan.ctrl.Save();
   HS_CHECK(snapshot.ok());
-  for (auto _ : bm_state) {
-    HS_CHECK(ctrl.Restore(snapshot.value()).ok());
-  }
-  bm_state.SetLabel("full save+restore pass");
+  TimePasses(bm_state, "host.scan_restore_us", [&] {
+    HS_CHECK(scan.ctrl.Restore(snapshot.value()).ok());
+  });
+  bm_state.SetLabel("full save+restore pass, word-level");
 }
-BENCHMARK(BM_ScanChainRestore)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScanChainRestore)->Unit(benchmark::kMicrosecond);
+
+void BM_ScanChainRestoreSerial(benchmark::State& bm_state) {
+  SocScan scan;
+  auto snapshot = scan.ctrl.SaveSerial();
+  HS_CHECK(snapshot.ok());
+  TimePasses(bm_state, "host.scan_restore_serial_us", [&] {
+    HS_CHECK(scan.ctrl.SaveRestoreSerial(snapshot.value()).ok());
+  });
+  bm_state.SetLabel("full save+restore pass, bit-serial");
+}
+BENCHMARK(BM_ScanChainRestoreSerial)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -175,6 +229,7 @@ int main(int argc, char** argv) {
   PrintTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
+  for (const auto& [key, micros] : HostMicros()) benchjson::Add(key, micros);
   benchjson::Emit("snapshot_latency");
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "scanchain/scan_controller.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/bitops.h"
@@ -20,17 +21,116 @@ ScanController::ScanController(sim::Simulator* sim, const ScanChainMap& map)
                    scan_out_ != rtl::kInvalidId &&
                    scan_hold_ != rtl::kInvalidId,
                "simulator is not running an instrumented design");
+
+  std::vector<bool> has_port(d.memories().size(), false);
+  for (const auto& mp : map.mem_ports) {
+    PortPins pins{d.FindSignal(mp.port_prefix + "_en"),
+                  d.FindSignal(mp.port_prefix + "_wen"),
+                  d.FindSignal(mp.port_prefix + "_addr"),
+                  d.FindSignal(mp.port_prefix + "_wdata"),
+                  d.FindSignal(mp.port_prefix + "_rdata")};
+    HS_CHECK_MSG(pins.en != rtl::kInvalidId && pins.wen != rtl::kInvalidId &&
+                     pins.addr != rtl::kInvalidId &&
+                     pins.wdata != rtl::kInvalidId &&
+                     pins.rdata != rtl::kInvalidId && mp.memory >= 0 &&
+                     static_cast<size_t>(mp.memory) < has_port.size(),
+                 "memory test port '" + mp.port_prefix + "' is missing");
+    ports_.push_back(pins);
+    ported_.push_back(mp.memory);
+    has_port[mp.memory] = true;
+  }
+  for (size_t m = 0; m < has_port.size(); ++m)
+    if (!has_port[m]) unported_.push_back(static_cast<rtl::MemoryId>(m));
+
+  // The word-level pass is exact only when no flip-flop runs functionally
+  // during the pass, i.e. when the chain holds every one of them.
+  std::vector<bool> chained(d.flops().size(), false);
+  size_t covered = 0;
+  for (const auto& slot : map.slots) {
+    if (slot.flop_index < chained.size() && !chained[slot.flop_index]) {
+      chained[slot.flop_index] = true;
+      ++covered;
+    }
+  }
+  word_level_ = covered == chained.size();
 }
 
 Status ScanController::CheckShape(const HardwareState& st) const {
-  if (st.flops.size() != sim_->design().flops().size())
+  const auto& d = sim_->design();
+  if (st.flops.size() != d.flops().size())
     return InvalidArgument("state flop count does not match design");
-  if (st.memories.size() != sim_->design().memories().size())
+  if (st.memories.size() != d.memories().size())
     return InvalidArgument("state memory count does not match design");
+  for (size_t m = 0; m < st.memories.size(); ++m) {
+    if (st.memories[m].size() != d.memories()[m].depth)
+      return InvalidArgument("state memory depth does not match design");
+  }
+  return Status::Ok();
+}
+
+bool ScanController::UseWordLevel() const {
+  if (!word_level_ || sim_->PeekId(scan_hold_) != 0) return false;
+  return std::all_of(ports_.begin(), ports_.end(), [&](const PortPins& p) {
+    return sim_->PeekId(p.en) == 0 && sim_->PeekId(p.wen) == 0;
+  });
+}
+
+Status ScanController::WordLevelPass(const HardwareState* load,
+                                     HardwareState* capture) {
+  if (capture != nullptr) {
+    // Every flop is chained, so the chain drains exactly the live flops;
+    // memories without a test port read back as zeros.
+    *capture = sim_->DumpState();
+    for (rtl::MemoryId m : unported_)
+      std::fill(capture->memories[m].begin(), capture->memories[m].end(), 0);
+  }
+  const HardwareState& loaded = load != nullptr ? *load : *capture;
+  sim_->LoadClocked(loaded, ported_, PassCycles());
+
+  // Leave every pin where the bit-serial pass leaves it: scan_enable low,
+  // scan_in on the last bit fed (bit 0 of slot 0), each port on its last
+  // address and, on a writing pass, its last write word. scan_hold and the
+  // port enables end low, where UseWordLevel() found them.
+  HS_RETURN_IF_ERROR(sim_->PokeInput(scan_enable_, 0));
+  if (!map_->slots.empty()) {
+    HS_RETURN_IF_ERROR(sim_->PokeInput(
+        scan_in_, loaded.flops[map_->slots.front().flop_index] & 1));
+  }
+  for (size_t i = 0; i < ports_.size(); ++i) {
+    const MemPort& mp = map_->mem_ports[i];
+    if (mp.depth == 0) continue;
+    HS_RETURN_IF_ERROR(sim_->PokeInput(ports_[i].addr, mp.depth - 1));
+    if (load != nullptr) {
+      HS_RETURN_IF_ERROR(sim_->PokeInput(
+          ports_[i].wdata, load->memories[mp.memory][mp.depth - 1]));
+    }
+  }
   return Status::Ok();
 }
 
 Result<HardwareState> ScanController::SaveRestore(
+    const HardwareState& new_state) {
+  if (!UseWordLevel()) return SaveRestoreSerial(new_state);
+  HS_RETURN_IF_ERROR(CheckShape(new_state));
+  HardwareState old;
+  HS_RETURN_IF_ERROR(WordLevelPass(&new_state, &old));
+  return old;
+}
+
+Result<HardwareState> ScanController::Save() {
+  if (!UseWordLevel()) return SaveSerial();
+  HardwareState st;
+  HS_RETURN_IF_ERROR(WordLevelPass(nullptr, &st));
+  return st;
+}
+
+Status ScanController::Restore(const HardwareState& state) {
+  if (!UseWordLevel()) return SaveRestoreSerial(state).status();
+  HS_RETURN_IF_ERROR(CheckShape(state));
+  return WordLevelPass(&state, nullptr);
+}
+
+Result<HardwareState> ScanController::SaveRestoreSerial(
     const HardwareState& new_state) {
   HS_RETURN_IF_ERROR(CheckShape(new_state));
   const unsigned n = map_->total_bits;
@@ -75,26 +175,26 @@ Result<HardwareState> ScanController::SaveRestore(
   for (size_t m = 0; m < old.memories.size(); ++m)
     for (auto& w : old.memories[m]) w = 0;
   HS_RETURN_IF_ERROR(sim_->PokeInput(scan_hold_, 1));
-  for (const auto& mp : map_->mem_ports) {
-    HS_RETURN_IF_ERROR(sim_->PokeInput(mp.port_prefix + "_en", 1));
-    HS_RETURN_IF_ERROR(sim_->PokeInput(mp.port_prefix + "_wen", 1));
+  for (size_t i = 0; i < ports_.size(); ++i) {
+    const MemPort& mp = map_->mem_ports[i];
+    const PortPins& pins = ports_[i];
+    HS_RETURN_IF_ERROR(sim_->PokeInput(pins.en, 1));
+    HS_RETURN_IF_ERROR(sim_->PokeInput(pins.wen, 1));
     for (unsigned w = 0; w < mp.depth; ++w) {
-      HS_RETURN_IF_ERROR(sim_->PokeInput(mp.port_prefix + "_addr", w));
-      auto rd = sim_->Peek(mp.port_prefix + "_rdata");
-      if (!rd.ok()) return rd.status();
-      old.memories[mp.memory][w] = rd.value();
-      HS_RETURN_IF_ERROR(sim_->PokeInput(mp.port_prefix + "_wdata",
-                                         new_state.memories[mp.memory][w]));
+      HS_RETURN_IF_ERROR(sim_->PokeInput(pins.addr, w));
+      old.memories[mp.memory][w] = sim_->PeekId(pins.rdata);
+      HS_RETURN_IF_ERROR(
+          sim_->PokeInput(pins.wdata, new_state.memories[mp.memory][w]));
       sim_->Tick(1);
     }
-    HS_RETURN_IF_ERROR(sim_->PokeInput(mp.port_prefix + "_wen", 0));
-    HS_RETURN_IF_ERROR(sim_->PokeInput(mp.port_prefix + "_en", 0));
+    HS_RETURN_IF_ERROR(sim_->PokeInput(pins.wen, 0));
+    HS_RETURN_IF_ERROR(sim_->PokeInput(pins.en, 0));
   }
   HS_RETURN_IF_ERROR(sim_->PokeInput(scan_hold_, 0));
   return old;
 }
 
-Result<HardwareState> ScanController::Save() {
+Result<HardwareState> ScanController::SaveSerial() {
   const unsigned n = map_->total_bits;
   std::vector<uint8_t> captured(n);
 
@@ -127,24 +227,19 @@ Result<HardwareState> ScanController::Save() {
   // word of fabric time; the port write strobe stays low). Registers are
   // frozen via scan_hold while the clock ticks.
   HS_RETURN_IF_ERROR(sim_->PokeInput(scan_hold_, 1));
-  for (const auto& mp : map_->mem_ports) {
-    HS_RETURN_IF_ERROR(sim_->PokeInput(mp.port_prefix + "_en", 1));
+  for (size_t i = 0; i < ports_.size(); ++i) {
+    const MemPort& mp = map_->mem_ports[i];
+    const PortPins& pins = ports_[i];
+    HS_RETURN_IF_ERROR(sim_->PokeInput(pins.en, 1));
     for (unsigned w = 0; w < mp.depth; ++w) {
-      HS_RETURN_IF_ERROR(sim_->PokeInput(mp.port_prefix + "_addr", w));
-      auto rd = sim_->Peek(mp.port_prefix + "_rdata");
-      if (!rd.ok()) return rd.status();
-      st.memories[mp.memory][w] = rd.value();
+      HS_RETURN_IF_ERROR(sim_->PokeInput(pins.addr, w));
+      st.memories[mp.memory][w] = sim_->PeekId(pins.rdata);
       sim_->Tick(1);
     }
-    HS_RETURN_IF_ERROR(sim_->PokeInput(mp.port_prefix + "_en", 0));
+    HS_RETURN_IF_ERROR(sim_->PokeInput(pins.en, 0));
   }
   HS_RETURN_IF_ERROR(sim_->PokeInput(scan_hold_, 0));
   return st;
-}
-
-Status ScanController::Restore(const HardwareState& state) {
-  auto old = SaveRestore(state);
-  return old.status();
 }
 
 }  // namespace hardsnap::scanchain

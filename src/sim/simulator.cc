@@ -345,7 +345,8 @@ Status Simulator::PokeMemory(const std::string& name, unsigned index,
 }
 
 HardwareState Simulator::DumpState() const {
-  Eval();
+  // Flip-flops and memories change only at clock edges and pokes, never
+  // in Eval(), so the dump needs no settled netlist.
   HardwareState st;
   st.flops.reserve(design_.flops().size());
   for (const auto& ff : design_.flops()) st.flops.push_back(values_[ff.q]);
@@ -375,13 +376,15 @@ Status Simulator::RestoreState(const HardwareState& st) {
   for (size_t m = 0; m < memories_.size(); ++m) {
     auto& mem = memories_[m];
     const auto& src = st.memories[m];
+    const unsigned width = design_.memory(static_cast<rtl::MemoryId>(m)).width;
     for (size_t w = 0; w < mem.size(); ++w) {
-      if (mem[w] != src[w]) {
-        mem[w] = src[w];
+      const uint64_t v = TruncBits(src[w], width);
+      if (mem[w] != v) {
+        mem[w] = v;
         ++written;
       }
+      shadow_.memories[m][w] = v;
     }
-    shadow_.memories[m] = src;
   }
   flop_dirty_.ClearAll();
   for (auto& bm : mem_dirty_) bm.ClearAll();
@@ -390,6 +393,36 @@ Status Simulator::RestoreState(const HardwareState& st) {
   delta_stats_.full_words += StateWords(st);
   dirty_ = true;
   return Status::Ok();
+}
+
+void Simulator::LoadClocked(const HardwareState& st,
+                            const std::vector<rtl::MemoryId>& memories,
+                            uint64_t cycles) {
+  const auto& flops = design_.flops();
+  HS_CHECK(st.flops.size() == flops.size() &&
+           st.memories.size() == memories_.size());
+  for (size_t i = 0; i < flops.size(); ++i) {
+    const uint64_t v = TruncBits(st.flops[i], design_.signal(flops[i].q).width);
+    if (values_[flops[i].q] != v) {
+      values_[flops[i].q] = v;
+      flop_dirty_.MarkWord(i);
+    }
+  }
+  for (rtl::MemoryId m : memories) {
+    auto& mem = memories_[m];
+    const auto& src = st.memories[m];
+    HS_CHECK(src.size() == mem.size());
+    const unsigned width = design_.memory(m).width;
+    for (size_t w = 0; w < mem.size(); ++w) {
+      const uint64_t v = TruncBits(src[w], width);
+      if (mem[w] != v) {
+        mem[w] = v;
+        mem_dirty_[m].MarkWord(w);
+      }
+    }
+  }
+  cycle_count_ += cycles;
+  dirty_ = true;
 }
 
 StateDelta Simulator::CaptureDelta() {
@@ -513,12 +546,15 @@ Status Simulator::RestoreDelta(const StateDelta& delta) {
         return InvalidArgument("delta chunk index out of range");
       if (c.words.size() != std::min<size_t>(kChunkWords, mem.size() - start))
         return InvalidArgument("delta chunk payload size mismatch");
+      const unsigned width =
+          design_.memory(static_cast<rtl::MemoryId>(c.space - 1)).width;
       for (size_t i = 0; i < c.words.size(); ++i) {
-        if (mem[start + i] != c.words[i]) {
-          mem[start + i] = c.words[i];
+        const uint64_t v = TruncBits(c.words[i], width);
+        if (mem[start + i] != v) {
+          mem[start + i] = v;
           ++written;
         }
-        shadow_.memories[c.space - 1][start + i] = c.words[i];
+        shadow_.memories[c.space - 1][start + i] = v;
       }
     }
   }

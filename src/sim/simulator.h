@@ -89,11 +89,23 @@ class Simulator {
 
   // --- snapshotting --------------------------------------------------------
   HardwareState DumpState() const;
-  // Overwrites the architectural state. Only words that actually differ
-  // from the live state are written (restoring a sibling of the current
-  // state touches O(diff) words), and the call establishes a new dirty-
-  // tracking sync point (see below).
+  // Overwrites the architectural state. Values are truncated to register
+  // and memory width. Only words that actually differ from the live state
+  // are written (restoring a sibling of the current state touches O(diff)
+  // words), and the call establishes a new dirty-tracking sync point (see
+  // below).
   Status RestoreState(const HardwareState& state);
+
+  // Emulates `cycles` clock edges whose only architectural effect is to
+  // load every flip-flop from state.flops and each memory listed in
+  // `memories` from state.memories, as a scan pass over a chain that holds
+  // every flip-flop does. Values are truncated to register and memory
+  // width; a chunk is marked dirty only when one of its words changes (as
+  // clock commits and pokes mark it) and no sync point is established.
+  // `state` must have the design's shape.
+  void LoadClocked(const HardwareState& state,
+                   const std::vector<rtl::MemoryId>& memories,
+                   uint64_t cycles);
 
   // --- delta snapshotting --------------------------------------------------
   // The simulator tracks which kChunkWords-sized chunks of architectural

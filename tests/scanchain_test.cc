@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "periph/periph.h"
 #include "rtl/elaborate.h"
 #include "scanchain/scan_controller.h"
 #include "scanchain/scan_pass.h"
@@ -309,6 +310,277 @@ TEST_P(ScanRoundTripTest, RandomStateRoundTrips) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ScanRoundTripTest, ::testing::Range(0, 8));
+
+// --- word-level pass vs the bit-serial oracle --------------------------------
+
+// Several memories (one of non-power-of-two depth, one of 64-bit words) and
+// a 64-bit register: the shapes where width truncation and address-pin
+// widths are easiest to get wrong.
+constexpr const char* kMultiMemDesign = R"(
+  module multi(input clk, input rst, input [63:0] in, input we,
+               input [3:0] waddr, output [63:0] out);
+    reg [63:0] wide;
+    reg [2:0] small;
+    reg flag;
+    reg [12:0] a [0:9];
+    reg [31:0] b [0:4];
+    reg [63:0] c [0:2];
+    always @(posedge clk) begin
+      if (rst) begin
+        wide <= 64'h0;
+        small <= 3'h0;
+        flag <= 1'b0;
+      end else begin
+        wide <= wide + in;
+        small <= small + 3'h1;
+        flag <= ~flag;
+      end
+      if (we) a[waddr] <= in[12:0];
+      if (we) b[waddr[2:0]] <= in[31:0];
+      if (we & flag) c[waddr[1:0]] <= wide;
+    end
+    wire [63:0] cword;
+    assign cword = c[waddr[1:0]];
+    assign out = wide ^ {a[waddr], b[waddr[2:0]], cword[15:0], small};
+  endmodule
+)";
+
+rtl::Design SocDesign() {
+  auto r = rtl::CompileVerilog(periph::BuildSoc(periph::DefaultCorpus()),
+                               "soc");
+  EXPECT_TRUE(r.ok()) << r.status().ToString();
+  return std::move(r).value();
+}
+
+// A random state of the design's shape. Out-of-width states put full
+// 64-bit values in every flop and memory word, which both passes must
+// truncate the same way.
+sim::HardwareState RandomState(const rtl::Design& d, Rng* rng,
+                               bool out_of_width) {
+  sim::HardwareState st;
+  for (const auto& ff : d.flops())
+    st.flops.push_back(rng->Bits(out_of_width ? 64 : d.signal(ff.q).width));
+  for (const auto& mem : d.memories()) {
+    st.memories.emplace_back(mem.depth);
+    for (auto& w : st.memories.back())
+      w = rng->Bits(out_of_width ? 64 : mem.width);
+  }
+  return st;
+}
+
+// Drives every functional input with seeded noise for a few cycles, so the
+// live state has drifted from its last sync point before a pass.
+void Scramble(sim::Simulator* s, uint64_t seed) {
+  Rng rng(seed);
+  const auto& d = s->design();
+  for (int cycle = 0; cycle < 5; ++cycle) {
+    for (rtl::SignalId id = 0;
+         id < static_cast<rtl::SignalId>(d.signals().size()); ++id) {
+      const auto& sig = d.signal(id);
+      if (sig.kind != rtl::SignalKind::kInput || sig.name.rfind("scan_", 0) == 0)
+        continue;
+      ASSERT_TRUE(s->PokeInput(id, rng.Bits(sig.width)).ok());
+    }
+    s->Tick(1);
+  }
+}
+
+// Everything a later observer can see: every signal, every memory word,
+// the cycle counter and the next delta capture (which reads the dirty
+// marks against the sync point).
+void ExpectSameSimulators(sim::Simulator* fast, sim::Simulator* serial) {
+  const auto& d = fast->design();
+  for (rtl::SignalId id = 0; id < static_cast<rtl::SignalId>(d.signals().size());
+       ++id)
+    EXPECT_EQ(fast->PeekId(id), serial->PeekId(id)) << d.signal(id).name;
+  for (const auto& mem : d.memories()) {
+    for (unsigned w = 0; w < mem.depth; ++w)
+      EXPECT_EQ(fast->PeekMemory(mem.name, w).value(),
+                serial->PeekMemory(mem.name, w).value())
+          << mem.name << "[" << w << "]";
+  }
+  EXPECT_EQ(fast->cycle_count(), serial->cycle_count());
+  EXPECT_EQ(fast->CaptureDelta(), serial->CaptureDelta());
+}
+
+enum class PassKind { kSave, kRestore, kSaveRestore };
+
+void ExpectWordLevelMatchesSerial(const rtl::Design& original, int trials,
+                                  uint64_t seed,
+                                  const ScanOptions& opts = {}) {
+  auto inst = MustInstrument(original, opts);
+  for (int trial = 0; trial < trials; ++trial) {
+    for (PassKind kind :
+         {PassKind::kSave, PassKind::kRestore, PassKind::kSaveRestore}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " pass " +
+                   std::to_string(static_cast<int>(kind)));
+      auto fast_sim = MustSim(inst.design);
+      auto serial_sim = MustSim(inst.design);
+      ScanController fast(&fast_sim, inst.map);
+      ScanController serial(&serial_sim, inst.map);
+      ASSERT_TRUE(fast.word_level());
+
+      Rng rng(seed * 1000003 + static_cast<uint64_t>(trial) * 3 +
+              static_cast<uint64_t>(kind));
+      const bool out_of_width = trial % 2 == 1;
+      const auto pre = RandomState(inst.design, &rng, out_of_width);
+      ASSERT_TRUE(fast_sim.RestoreState(pre).ok());
+      ASSERT_TRUE(serial_sim.RestoreState(pre).ok());
+      const uint64_t stimulus = rng.Next();
+      Scramble(&fast_sim, stimulus);
+      Scramble(&serial_sim, stimulus);
+      const auto next = RandomState(inst.design, &rng, out_of_width);
+      if (trial % 4 >= 2) {
+        // scan_enable is not part of the pin contract: a pass entered with
+        // it high must still leave it low.
+        ASSERT_TRUE(fast_sim.PokeInput("scan_enable", 1).ok());
+        ASSERT_TRUE(serial_sim.PokeInput("scan_enable", 1).ok());
+      }
+
+      switch (kind) {
+        case PassKind::kSave: {
+          auto a = fast.Save();
+          auto b = serial.SaveSerial();
+          ASSERT_TRUE(a.ok() && b.ok());
+          EXPECT_EQ(a.value(), b.value());
+          break;
+        }
+        case PassKind::kRestore:
+          ASSERT_TRUE(fast.Restore(next).ok());
+          ASSERT_TRUE(serial.SaveRestoreSerial(next).ok());
+          break;
+        case PassKind::kSaveRestore: {
+          auto a = fast.SaveRestore(next);
+          auto b = serial.SaveRestoreSerial(next);
+          ASSERT_TRUE(a.ok() && b.ok());
+          EXPECT_EQ(a.value(), b.value());
+          break;
+        }
+      }
+      ExpectSameSimulators(&fast_sim, &serial_sim);
+
+      // And both resume identically from the pass.
+      const uint64_t after = rng.Next();
+      Scramble(&fast_sim, after);
+      Scramble(&serial_sim, after);
+      ExpectSameSimulators(&fast_sim, &serial_sim);
+    }
+  }
+}
+
+TEST(ScanWordLevelTest, MatchesSerialOnMixedDesign) {
+  ExpectWordLevelMatchesSerial(Compile(kMixedDesign), 8, 1);
+}
+
+TEST(ScanWordLevelTest, MatchesSerialOnMultiMemoryDesign) {
+  ExpectWordLevelMatchesSerial(Compile(kMultiMemDesign), 8, 2);
+}
+
+TEST(ScanWordLevelTest, MatchesSerialOnDefaultSoc) {
+  ExpectWordLevelMatchesSerial(SocDesign(), 4, 3);
+}
+
+TEST(ScanWordLevelTest, MatchesSerialWithUnportedMemory) {
+  // Every flop is in scope but the memory is not: the chain still holds
+  // every flip-flop, the memory stays frozen and reads back as zeros.
+  auto d = Compile(R"(
+    module core(input clk, input [7:0] d, output [7:0] q);
+      reg [7:0] state;
+      reg [3:0] count;
+      always @(posedge clk) begin
+        state <= d ^ {count, count};
+        count <= count + 4'h1;
+      end
+      assign q = state;
+    endmodule
+    module top(input clk, input [7:0] in, input we, input [2:0] waddr,
+               output [7:0] out);
+      reg [7:0] mem [0:5];
+      wire [7:0] q;
+      core u_core (.clk(clk), .d(in), .q(q));
+      always @(posedge clk) if (we) mem[waddr] <= q;
+      assign out = mem[waddr];
+    endmodule
+  )");
+  ScanOptions opts;
+  opts.scope_prefix = "u_core.";
+  ExpectWordLevelMatchesSerial(d, 8, 4, opts);
+}
+
+TEST(ScanWordLevelTest, PinsOffRestTakeTheSerialPass) {
+  // A test port left writing clobbers memory during a loopback save, and a
+  // raised scan_hold freezes the shift; the word-level pass must not paper
+  // over what those pins then do.
+  auto inst = MustInstrument(Compile(kMixedDesign));
+  for (const char* pin : {"scan_mem_wen", "scan_hold"}) {
+    SCOPED_TRACE(pin);
+    auto fast_sim = MustSim(inst.design);
+    auto serial_sim = MustSim(inst.design);
+    ScanController fast(&fast_sim, inst.map);
+    ScanController serial(&serial_sim, inst.map);
+    for (auto* s : {&fast_sim, &serial_sim}) {
+      ASSERT_TRUE(s->Reset().ok());
+      ASSERT_TRUE(s->PokeMemory("mem", 4, 0x42).ok());
+      ASSERT_TRUE(s->PokeInput("scan_mem_wdata", 0x99).ok());
+      ASSERT_TRUE(s->PokeInput(pin, 1).ok());
+    }
+    auto a = fast.Save();
+    auto b = serial.SaveSerial();
+    ASSERT_TRUE(a.ok() && b.ok());
+    EXPECT_EQ(a.value(), b.value());
+    ExpectSameSimulators(&fast_sim, &serial_sim);
+  }
+}
+
+TEST(ScanWordLevelTest, ScopedChainTakesSerialPathAndRoundTrips) {
+  auto d = Compile(R"(
+    module leaf(input clk, input [7:0] d, output [7:0] q);
+      reg [7:0] state;
+      always @(posedge clk) state <= d;
+      assign q = state;
+    endmodule
+    module top(input clk, input [7:0] in, output [7:0] out);
+      wire [7:0] mid;
+      leaf u_a (.clk(clk), .d(in), .q(mid));
+      leaf u_b (.clk(clk), .d(mid), .q(out));
+    endmodule
+  )");
+  ScanOptions opts;
+  opts.scope_prefix = "u_a.";
+  auto inst = MustInstrument(d, opts);
+  auto sim = MustSim(inst.design);
+  ScanController ctrl(&sim, inst.map);
+  EXPECT_FALSE(ctrl.word_level());
+
+  const size_t chained = inst.map.slots[0].flop_index;
+  const size_t unchained = 1 - chained;
+  sim::HardwareState target = sim.DumpState();
+  target.flops[chained] = 0xa5;
+  ASSERT_TRUE(ctrl.Restore(target).ok());
+  auto back = ctrl.Save();
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back.value().flops[chained], 0xa5u);
+  // The unchained register kept clocking through both passes, latching
+  // u_a's shifting contents; a word-level pass would have left it at 0.
+  EXPECT_EQ(sim.cycle_count(), 2 * ctrl.PassCycles());
+  EXPECT_NE(sim.DumpState().flops[unchained], 0u);
+}
+
+TEST(ScanWordLevelTest, FullChainIsWordLevel) {
+  auto inst = MustInstrument(SocDesign());
+  auto sim = MustSim(inst.design);
+  EXPECT_TRUE(ScanController(&sim, inst.map).word_level());
+}
+
+TEST(ScanControllerTest, MismatchedMemoryDepthRejected) {
+  auto inst = MustInstrument(Compile(kMixedDesign));
+  auto sim = MustSim(inst.design);
+  ScanController ctrl(&sim, inst.map);
+  auto st = sim.DumpState();
+  st.memories[0].resize(3);
+  EXPECT_FALSE(ctrl.Restore(st).ok());
+  EXPECT_FALSE(ctrl.SaveRestoreSerial(st).ok());
+}
 
 }  // namespace
 }  // namespace hardsnap::scanchain

@@ -225,6 +225,30 @@ TEST(SimulatorTest, RestoreAcrossSimulatorInstances) {
   EXPECT_EQ(sim2.Peek("value").value(), 7u);
 }
 
+TEST(SimulatorTest, RestoresTruncateMemoryWordsToWidth) {
+  // Out-of-width words (e.g. from a migration blob) land as a memory write
+  // would land them: truncated, in the live state and in the delta shadow.
+  auto d = Compile(R"(
+    module m(input clk, input [3:0] addr, output [7:0] rdata);
+      reg [7:0] mem [0:15];
+      assign rdata = mem[addr];
+    endmodule
+  )");
+  auto sim = MustCreate(d);
+  HardwareState wide = sim.DumpState();
+  wide.memories[0][5] = 0x1ab;
+  ASSERT_TRUE(sim.RestoreState(wide).ok());
+  EXPECT_EQ(sim.PeekMemory("mem", 5).value(), 0xabu);
+  EXPECT_TRUE(sim.CaptureDelta().chunks.empty());
+
+  StateDelta delta = EmptyDeltaFor(sim.DumpState());
+  delta.chunks.push_back({1, 0, {0x301, 0x302, 0x303, 0x304}});
+  ASSERT_TRUE(sim.RestoreDelta(delta).ok());
+  EXPECT_EQ(sim.PeekMemory("mem", 0).value(), 0x01u);
+  EXPECT_EQ(sim.PeekMemory("mem", 3).value(), 0x04u);
+  EXPECT_TRUE(sim.CaptureDelta().chunks.empty());
+}
+
 TEST(SimulatorTest, RestoreRejectsMismatchedShape) {
   auto d = Compile(kCounter);
   auto sim = MustCreate(d);

@@ -24,9 +24,7 @@ void SharedCorpus::OfferInput(unsigned worker,
 
 bool SharedCorpus::ReportCrash(CampaignFinding finding) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!crash_pcs_.insert(finding.crash.pc).second) return false;
-  findings_.push_back(std::move(finding));
-  return true;
+  return FoldFinding(&findings_, std::move(finding));
 }
 
 std::vector<std::vector<uint8_t>> SharedCorpus::TakeNewInputs(
@@ -67,12 +65,8 @@ void SharedCorpus::Restore(
     if (!seen_inputs_.insert(input).second) continue;
     offers_.push_back({worker, input});
   }
-  crash_pcs_.clear();
   findings_.clear();
-  for (const CampaignFinding& f : findings) {
-    if (!crash_pcs_.insert(f.crash.pc).second) continue;
-    findings_.push_back(f);
-  }
+  for (const CampaignFinding& f : findings) FoldFinding(&findings_, f);
 }
 
 }  // namespace hardsnap::campaign

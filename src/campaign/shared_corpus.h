@@ -19,9 +19,11 @@
 // for input-level replay.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <mutex>
 #include <set>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -42,6 +44,39 @@ struct CampaignFinding {
   uint64_t execs_at_find = 0;
 };
 
+// The canonical finding for a crash pc is the earliest by
+// (execs_at_find, worker). A worker's exec stream is a pure function of
+// its seed, so the choice does not depend on which worker reported first.
+inline bool FindsEarlier(const CampaignFinding& a, const CampaignFinding& b) {
+  return std::tie(a.execs_at_find, a.worker) <
+         std::tie(b.execs_at_find, b.worker);
+}
+
+// Folds `finding` into `findings`, which holds one finding per crash pc
+// in canonical order (by execs_at_find, worker, pc): it replaces a later
+// finding of the same pc and is dropped behind an earlier one. Returns
+// true iff its pc was new. Shared by the live corpus and the durable
+// journal fold, so a resumed campaign reports what a fresh one does.
+inline bool FoldFinding(std::vector<CampaignFinding>* findings,
+                        CampaignFinding finding) {
+  bool fresh = true;
+  for (auto it = findings->begin(); it != findings->end(); ++it) {
+    if (it->crash.pc != finding.crash.pc) continue;
+    if (!FindsEarlier(finding, *it)) return false;
+    findings->erase(it);
+    fresh = false;
+    break;
+  }
+  const auto pos = std::find_if(
+      findings->begin(), findings->end(), [&](const CampaignFinding& f) {
+        return std::tie(finding.execs_at_find, finding.worker,
+                        finding.crash.pc) <
+               std::tie(f.execs_at_find, f.worker, f.crash.pc);
+      });
+  findings->insert(pos, std::move(finding));
+  return fresh;
+}
+
 class SharedCorpus {
  public:
   // Union `edges` into the global coverage map; returns how many were
@@ -56,8 +91,8 @@ class SharedCorpus {
   // TakeNewInputs.
   void OfferInput(unsigned worker, const std::vector<uint8_t>& input);
 
-  // Record a crash; returns true iff its faulting pc was globally new
-  // (the finding was appended).
+  // Record a crash (FoldFinding); returns true iff its faulting pc was
+  // globally new.
   bool ReportCrash(CampaignFinding finding);
 
   // Inputs offered by OTHER workers since this worker's last call.
@@ -71,8 +106,8 @@ class SharedCorpus {
 
   // Seed the corpus from a recovered durable image (campaign resume).
   // Replaces the current contents; must be called before workers start.
-  // Offer/finding order is preserved so a resumed campaign reports
-  // findings in the same order as an uninterrupted one.
+  // Offer order is preserved and findings are folded like ReportCrash, so
+  // a resumed campaign reports the same findings as an uninterrupted one.
   void Restore(
       const std::set<uint64_t>& edges,
       const std::vector<std::pair<unsigned, std::vector<uint8_t>>>& offers,
@@ -88,8 +123,7 @@ class SharedCorpus {
   std::set<uint64_t> edges_;
   std::set<std::vector<uint8_t>> seen_inputs_;
   std::vector<Offer> offers_;
-  std::set<uint32_t> crash_pcs_;
-  std::vector<CampaignFinding> findings_;
+  std::vector<CampaignFinding> findings_;  // canonical (FoldFinding)
 };
 
 }  // namespace hardsnap::campaign

@@ -374,7 +374,8 @@ Status ApplyRecord(const std::vector<uint8_t>& record,
         findings.push_back(std::move(f));
       }
       if (!r.AtEnd()) return InvalidArgument("trailing bytes in ack record");
-      // Idempotent fold: progress is a max, everything else dedups.
+      // Idempotent fold: progress is a max, findings keep the canonical
+      // one per pc (FoldFinding), everything else dedups.
       if (done.value() >= state->worker_done[worker.value()]) {
         state->worker_done[worker.value()] = done.value();
         state->worker_rng_digest[worker.value()] = rng.value();
@@ -383,9 +384,10 @@ Status ApplyRecord(const std::vector<uint8_t>& record,
       for (auto& input : inputs)
         if (state->seen_inputs.insert(input).second)
           state->offers.push_back({worker.value(), std::move(input)});
-      for (auto& finding : findings)
-        if (state->finding_pcs.insert(finding.crash.pc).second)
-          state->findings.push_back(std::move(finding));
+      for (auto& finding : findings) {
+        state->finding_pcs.insert(finding.crash.pc);
+        campaign::FoldFinding(&state->findings, std::move(finding));
+      }
       return Status::Ok();
     }
     case kRecordSymexReport: {

@@ -1,5 +1,6 @@
 #include "remote/server.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -64,14 +65,43 @@ void TargetServer::Stop() {
   stopping_.store(true);
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  std::vector<std::thread> sessions;
+  std::vector<std::pair<uint64_t, std::thread>> sessions;
   {
     std::lock_guard<std::mutex> lock(mu_);
     sessions.swap(sessions_);
+    finished_.clear();
   }
-  for (std::thread& t : sessions)
+  for (auto& [id, t] : sessions)
     if (t.joinable()) t.join();
   LogInfo(options_.name + ": stopped");
+}
+
+size_t TargetServer::session_threads() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return sessions_.size();
+}
+
+void TargetServer::ReapFinishedSessions() {
+  std::vector<std::thread> done;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (uint64_t id : finished_) {
+      auto it = std::find_if(sessions_.begin(), sessions_.end(),
+                             [id](const auto& s) { return s.first == id; });
+      if (it == sessions_.end()) continue;
+      done.push_back(std::move(it->second));
+      sessions_.erase(it);
+    }
+    finished_.clear();
+  }
+  for (std::thread& t : done) t.join();
+}
+
+void TargetServer::EndSession(uint64_t session_id) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++stats_.sessions_closed;
+  finished_.push_back(session_id);
+  active_sessions_.fetch_sub(1);
 }
 
 ServerStats TargetServer::stats() const {
@@ -93,6 +123,7 @@ void TargetServer::Refuse(net::Socket socket, const std::string& why) {
 
 void TargetServer::AcceptLoop() {
   while (!stopping_.load()) {
+    ReapFinishedSessions();
     auto socket = listener_.Accept(options_.accept_poll_ms);
     if (!socket.ok()) {
       if (socket.status().code() == StatusCode::kDeadlineExceeded) continue;
@@ -117,10 +148,10 @@ void TargetServer::AcceptLoop() {
     const uint64_t id = next_session_id_++;
     ++stats_.sessions_accepted;
     sessions_.emplace_back(
-        [this, id, sock = std::make_shared<net::Socket>(
-                       std::move(socket).value())]() mutable {
+        id, std::thread([this, id, sock = std::make_shared<net::Socket>(
+                                       std::move(socket).value())]() mutable {
           RunSession(std::move(*sock), id);
-        });
+        }));
   }
 }
 
@@ -137,9 +168,7 @@ void TargetServer::RunSession(net::Socket socket, uint64_t session_id) {
     SetStatus(&reply, target_or.status());
     (void)stream.Send(bus::Frame::kReplyErr, 0,
                       static_cast<uint32_t>(Op::kHello), EncodeReply(reply));
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.sessions_closed;
-    active_sessions_.fetch_sub(1);
+    EndSession(session_id);
     return;
   }
   std::unique_ptr<bus::HardwareTarget> target = std::move(target_or).value();
@@ -212,9 +241,7 @@ void TargetServer::RunSession(net::Socket socket, uint64_t session_id) {
   }
 
   LogInfo(tag + ": closed (" + close_reason + ")");
-  std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.sessions_closed;
-  active_sessions_.fetch_sub(1);
+  EndSession(session_id);
 }
 
 void TargetServer::Serve(bus::HardwareTarget* target, const Request& request,

@@ -31,6 +31,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bus/target.h"
@@ -85,6 +86,10 @@ class TargetServer {
 
   bool draining() const { return draining_.load(); }
   unsigned active_sessions() const { return active_sessions_.load(); }
+  // Session threads not yet joined. The accept loop joins a session's
+  // thread once it has closed, so this tracks active_sessions() instead
+  // of growing with every session served.
+  size_t session_threads() const;
   ServerStats stats() const;
 
  private:
@@ -92,7 +97,11 @@ class TargetServer {
                TargetServerOptions options);
 
   void AcceptLoop();
+  // Joins the threads of sessions that have finished.
+  void ReapFinishedSessions();
   void RunSession(net::Socket socket, uint64_t session_id);
+  // Counts the session closed and queues its thread for reaping.
+  void EndSession(uint64_t session_id);
   // Serves one decoded request. Fills `reply`; returns false when the
   // session must end (protocol violation already logged).
   void Serve(bus::HardwareTarget* target, const Request& request,
@@ -108,8 +117,10 @@ class TargetServer {
   std::atomic<bool> stopping_{false};
   std::atomic<unsigned> active_sessions_{0};
 
-  mutable std::mutex mu_;  // guards sessions_, stats_, stopped_
-  std::vector<std::thread> sessions_;
+  // guards sessions_, finished_, stats_, stopped_
+  mutable std::mutex mu_;
+  std::vector<std::pair<uint64_t, std::thread>> sessions_;  // by session id
+  std::vector<uint64_t> finished_;  // ended sessions awaiting a join
   ServerStats stats_;
   bool stopped_ = false;
   uint64_t next_session_id_ = 1;

@@ -356,8 +356,10 @@ Result<uint64_t> EvalConstExpr(const Design& d, ExprId id) {
     case Op::kLogicOr: return (vals[0] != 0 || vals[1] != 0) ? 1u : 0u;
     case Op::kMux: return vals[0] != 0 ? TruncBits(vals[1], w) : TruncBits(vals[2], w);
     case Op::kConcat: {
-      uint64_t acc = 0;
-      for (size_t i = 0; i < vals.size(); ++i) {
+      // The first part is not shifted: a lone 64-bit part would shift by
+      // the full word width, which is undefined.
+      uint64_t acc = TruncBits(vals[0], aw(0));
+      for (size_t i = 1; i < vals.size(); ++i) {
         acc = (acc << aw(static_cast<int>(i))) | TruncBits(vals[i], aw(static_cast<int>(i)));
       }
       return acc;

@@ -14,6 +14,21 @@
 //             assignment semantics), then Eval() again so outputs reflect
 //             the post-edge state.
 //
+// Evaluation is compiled and change-driven. Create() compiles the netlist
+// once into a flat tape of operations over one value-slot array (signals,
+// then constants, then temporaries; shared subtrees compiled once). Each
+// comb assign, flop `next` and memory write port owns a contiguous *cone*
+// of that tape, and every signal and memory lists the cones that read it.
+// Whenever a signal or memory word actually changes (a poke, a clock
+// commit, a restore, a comb target settling to a new value) its readers
+// are marked, and Eval()/Tick() run only the marked cones; flops and write
+// ports keep their cached next values otherwise. The result is bit-for-bit
+// the full evaluation (sim_test's differential tests hold it to that) and
+// the modeled cost is unchanged: cycle_count() and every target's virtual
+// clock count cycles, not host work. Host cost per cycle follows activity:
+// an idle SoC re-runs almost nothing, busy accelerators re-run their cones
+// (EXPERIMENTS.md E2 has the rates).
+//
 // Full visibility/controllability (the property the paper's simulator
 // target provides): any signal or memory word can be peeked or poked by
 // name at any time, and DumpState()/RestoreState() capture exactly the
@@ -48,8 +63,8 @@ struct HardwareState {
 
 class Simulator {
  public:
-  // Compiles the design: levelizes combinational assignments and builds a
-  // linear evaluation schedule. Fails on combinational cycles. The
+  // Compiles the design: levelizes combinational assignments and builds
+  // the evaluation tape and its cones. Fails on combinational cycles. The
   // simulator keeps its own copy of the design, so the argument may be a
   // temporary.
   static Result<Simulator> Create(const rtl::Design& design);
@@ -131,24 +146,70 @@ class Simulator {
   // Cycles executed since construction (not part of architectural state).
   uint64_t cycle_count() const { return cycle_count_; }
 
-  // Expression evaluation against current values (shared with testbenches).
-  uint64_t EvalExpr(rtl::ExprId e) const;
-
  private:
+  // One tape operation: values_[dst] = op(values_[a], values_[b],
+  // values_[c]) at result width `width`; `aw`/`bw` are the widths of the
+  // first two arguments. A memory read takes the memory id in `b`, a slice
+  // its low bit in `c`.
+  struct TapeOp {
+    uint8_t code;  // rtl::Op, or kConcat2
+    uint8_t width, aw, bw;
+    uint32_t dst, a, b, c;
+  };
+  // A cone: the ops [begin, end) computing one root. Comb cones write
+  // values_[root] to signal `target`; flop cones cache it as the next value
+  // of `target`; a write port's cone computes its enable (root) and the
+  // address and data slots in its Port.
+  struct Cone {
+    uint32_t begin = 0, end = 0;
+    uint32_t root = 0;
+    uint32_t target = 0;
+    uint64_t mask = 0;  // width mask of the target
+  };
+  struct Port {
+    rtl::MemoryId memory = 0;
+    uint32_t addr = 0, data = 0;  // slots
+    uint64_t mask = 0;            // memory word width mask
+    // Cached at the last evaluation of the port's cone.
+    bool enabled = false;
+    uint64_t addr_value = 0, data_value = 0;
+  };
+
   explicit Simulator(const rtl::Design& design);
 
-  Status Levelize();
+  Status Compile();
+  uint32_t CompileExpr(rtl::ExprId e, std::vector<int32_t>* slot_of);
+  uint32_t Emit(uint8_t code, unsigned width, unsigned aw, unsigned bw,
+                uint32_t a, uint32_t b, uint32_t c);
+  void RunCone(uint32_t cone) const;
+  // Marks every cone that reads signal `node` (or memory node -
+  // num_signals()) for re-evaluation.
+  void MarkReaders(uint32_t node) const;
+  void MarkMemoryReaders(rtl::MemoryId m) const {
+    MarkReaders(static_cast<uint32_t>(design_.signals().size() + m));
+  }
+  template <typename Fn>
+  void DrainDirty(uint32_t lo, uint32_t hi, Fn fn) const;
   void CommitEdge();
 
   rtl::Design design_;
-  // Lazily settled: `dirty_` marks pending input/state pokes; Eval() is
-  // conceptually const (it completes the observable state).
-  mutable std::vector<uint64_t> values_;         // per signal
-  mutable bool dirty_ = true;
+  // Value slots: one per signal, then constants, then tape temporaries.
+  // Eval() is conceptually const (it completes the observable state).
+  mutable std::vector<uint64_t> values_;
+  mutable bool dirty_ = true;  // some comb cone may be marked
   std::vector<std::vector<uint64_t>> memories_;  // per memory
-  std::vector<uint32_t> comb_order_;             // comb() indices, topo order
-  // staging for the two-phase edge commit
-  std::vector<uint64_t> flop_next_;
+  std::vector<TapeOp> tape_;
+  // Comb cones in topological order, then one per flop, then one per
+  // write port.
+  std::vector<Cone> cones_;
+  std::vector<Port> ports_;
+  uint32_t num_comb_ = 0;
+  std::vector<uint64_t> flop_next_;  // cached next value per flop
+  // Readers per signal, then per memory: cones_ indices in
+  // fanout_[fanout_begin_[n], fanout_begin_[n + 1]).
+  std::vector<uint32_t> fanout_begin_;
+  std::vector<uint32_t> fanout_;
+  mutable std::vector<uint64_t> cone_dirty_;  // bit per cone
   uint64_t cycle_count_ = 0;
 
   // --- dirty-state change tracking --------------------------------------

@@ -158,8 +158,13 @@ TEST(RemoteCampaignTest, ServerRestartMidCampaignKeepsFindingsIdentical) {
 
   // Kill the server mid-campaign, then bring a replacement up on the same
   // address. Workers see kUnavailable, re-provision through the connect
-  // retry window and catch up by seed replay.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  // retry window and catch up by seed replay. The kill waits for served
+  // RPCs rather than wall time, so it lands mid-campaign at any host speed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (first.value()->stats().rpcs < 100 &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   first.value()->Stop();
   auto second =
       remote::TargetServer::Start(addr.value(), ServerSideSimFactory());

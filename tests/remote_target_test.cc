@@ -11,8 +11,10 @@
 // server or its other sessions.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bus/batch_support.h"
@@ -486,6 +488,29 @@ TEST(RemoteServerTest, StopKillsLiveSessionsAndClientsFailFast) {
   ASSERT_FALSE(s.ok());
   EXPECT_TRUE(IsInfrastructureFailure(s.code())) << s.ToString();
   EXPECT_FALSE(remote.value()->responsive());
+}
+
+TEST(RemoteServerTest, ClosedSessionsReleaseTheirThreads) {
+  TargetServerOptions options;
+  options.accept_poll_ms = 10;
+  options.idle_poll_ms = 10;
+  auto server = StartServer(options);
+  for (int i = 0; i < 20; ++i) {
+    auto remote = RemoteTarget::Connect(server->bound(), FastOptions());
+    ASSERT_TRUE(remote.ok()) << remote.status().ToString();
+    ASSERT_TRUE(remote.value()->ResetHardware().ok());
+  }  // each client hangs up as it goes out of scope
+  // The server must hold on to no more session threads than sessions
+  // are open; a daemon that kept every finished thread grew by one
+  // thread stack per session served.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((server->active_sessions() != 0 || server->session_threads() != 0) &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  EXPECT_EQ(server->active_sessions(), 0u);
+  EXPECT_LE(server->session_threads(), server->active_sessions());
+  EXPECT_EQ(server->stats().sessions_closed, 20u);
 }
 
 TEST(RemoteServerTest, PerRpcStatsAccumulate) {

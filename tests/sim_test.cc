@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/bitops.h"
 #include "common/rng.h"
+#include "periph/periph.h"
 #include "rtl/elaborate.h"
 #include "sim/simulator.h"
 #include "sim/vcd.h"
@@ -423,6 +427,383 @@ TEST_P(SnapshotPropertyTest, RestoreReplayMatchesStraightRun) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SnapshotPropertyTest,
                          ::testing::Range(0, 10));
+
+// --- differential tests for the compiled, change-driven evaluator ----------
+
+// A random netlist over every rtl::Op: inputs of assorted widths, a few
+// constants, registers, comb wires that later nodes read (so cones share
+// subtrees and levelize across each other), a depth-5 memory read at
+// arbitrary addresses and written through one port, and comb outputs on
+// a sample of the nodes.
+struct RandomNetlist {
+  rtl::Design design{"random_netlist"};
+  std::vector<rtl::SignalId> inputs, regs;
+  std::map<rtl::SignalId, rtl::ExprId> wire_value;  // comb-driven signals
+  std::map<rtl::SignalId, rtl::ExprId> reg_next;
+  rtl::MemWrite port;
+  rtl::MemoryId mem = 0;
+};
+
+RandomNetlist BuildRandomNetlist(Rng& rng, int nodes) {
+  using rtl::Op;
+  RandomNetlist n;
+  rtl::Design& d = n.design;
+  std::vector<rtl::ExprId> pool;
+  constexpr unsigned kWidths[] = {1, 2, 3, 5, 7, 8, 13, 16, 31, 32, 33, 63, 64};
+  auto any_width = [&] { return kWidths[rng.Below(std::size(kWidths))]; };
+  auto pick = [&] { return pool[rng.Below(pool.size())]; };
+  auto width_of = [&](rtl::ExprId e) { return d.expr(e).width; };
+
+  for (int i = 0; i < 6; ++i) {
+    n.inputs.push_back(d.AddSignal("in" + std::to_string(i), any_width(),
+                                   rtl::SignalKind::kInput));
+    pool.push_back(d.Sig(n.inputs.back()));
+  }
+  for (int i = 0; i < 4; ++i) {
+    n.regs.push_back(d.AddSignal("r" + std::to_string(i), any_width(),
+                                 rtl::SignalKind::kReg));
+    pool.push_back(d.Sig(n.regs.back()));
+  }
+  for (uint64_t k : {uint64_t{0}, uint64_t{1}, uint64_t{63}, uint64_t{64},
+                     uint64_t{70}, rng.Next()})
+    pool.push_back(d.Const(k, k > 64 ? 64 : 7));
+  n.mem = d.AddMemory("mem", any_width(), 5);
+
+  constexpr Op kOps[] = {
+      Op::kMemRead, Op::kNot,  Op::kNeg,  Op::kRedAnd, Op::kRedOr,
+      Op::kRedXor,  Op::kLogicNot, Op::kAnd, Op::kOr,  Op::kXor,
+      Op::kAdd,     Op::kSub,  Op::kMul,  Op::kDiv,    Op::kMod,
+      Op::kEq,      Op::kNe,   Op::kLtU,  Op::kLeU,    Op::kGtU,
+      Op::kGeU,     Op::kLtS,  Op::kLeS,  Op::kGtS,    Op::kGeS,
+      Op::kShl,     Op::kShrL, Op::kShrA, Op::kLogicAnd, Op::kLogicOr,
+      Op::kMux,     Op::kConcat, Op::kSlice, Op::kZext, Op::kSext};
+  for (int i = 0; i < nodes; ++i) {
+    const Op op = kOps[rng.Below(std::size(kOps))];
+    rtl::ExprId e;
+    if (op == Op::kMemRead) {
+      e = d.MemRead(n.mem, pick());
+    } else if (rtl::IsUnary(op)) {
+      e = d.Unary(op, pick());
+    } else if (rtl::IsBinary(op)) {
+      e = d.Binary(op, pick(), pick());
+    } else if (op == Op::kMux) {
+      e = d.Mux(pick(), pick(), pick());
+    } else if (op == Op::kConcat) {
+      std::vector<rtl::ExprId> parts{pick()};
+      unsigned total = width_of(parts[0]);
+      for (int k = 0; k < 3; ++k) {
+        const rtl::ExprId p = pick();
+        if (total + width_of(p) > 64) break;
+        total += width_of(p);
+        parts.push_back(p);
+      }
+      e = d.Concat(parts);
+    } else if (op == Op::kSlice) {
+      const rtl::ExprId a = pick();
+      const unsigned hi = static_cast<unsigned>(rng.Below(width_of(a)));
+      e = d.Slice(a, hi, static_cast<unsigned>(rng.Below(hi + 1)));
+    } else {  // kZext / kSext
+      const rtl::ExprId a = pick();
+      e = d.Extend(op, a, width_of(a) + static_cast<unsigned>(rng.Below(
+                                            65 - width_of(a))));
+    }
+    pool.push_back(e);
+    if (rng.Chance(0.2)) {  // a wire later nodes read
+      const rtl::SignalId w = d.AddSignal("w" + std::to_string(i),
+                                          width_of(e), rtl::SignalKind::kWire);
+      d.AddComb(w, e);
+      n.wire_value[w] = e;
+      pool.push_back(d.Sig(w));
+    } else if (rng.Chance(0.3)) {
+      const rtl::SignalId o = d.AddSignal("o" + std::to_string(i),
+                                          width_of(e), rtl::SignalKind::kOutput);
+      d.AddComb(o, e);
+      n.wire_value[o] = e;
+    }
+  }
+  for (rtl::SignalId r : n.regs) {
+    rtl::ExprId next = pick();
+    while (width_of(next) > d.signal(r).width) next = pick();
+    n.reg_next[r] = next;
+    d.AddFlop(rtl::FlipFlop{r, next, false, 0});
+  }
+  n.port = rtl::MemWrite{n.mem, pick(), pick(), pick()};
+  d.AddMemWrite(n.port);
+  return n;
+}
+
+// Copies expression `e` of `n` into `out` with every input, register and
+// memory read replaced by the constant the simulator holds for it, and
+// every wire by its driving expression, so rtl::EvalConstExpr can fold it.
+rtl::ExprId Substitute(const RandomNetlist& n, const Simulator& sim,
+                       rtl::ExprId e, rtl::Design* out,
+                       std::map<rtl::ExprId, rtl::ExprId>* memo) {
+  using rtl::Op;
+  if (auto it = memo->find(e); it != memo->end()) return it->second;
+  const rtl::Expr& x = n.design.expr(e);
+  auto sub = [&](size_t i) { return Substitute(n, sim, x.args[i], out, memo); };
+  rtl::ExprId r;
+  if (x.op == Op::kConst) {
+    r = out->Const(x.imm, x.width);
+  } else if (x.op == Op::kSignal) {
+    auto wire = n.wire_value.find(x.signal);
+    r = wire != n.wire_value.end()
+            ? Substitute(n, sim, wire->second, out, memo)
+            : out->Const(sim.PeekId(x.signal), x.width);
+  } else if (x.op == Op::kMemRead) {
+    const uint64_t addr = rtl::EvalConstExpr(*out, sub(0)).value();
+    const std::string& name = n.design.memory(x.memory).name;
+    r = out->Const(addr < 5 ? sim.PeekMemory(name, addr).value() : 0,
+                   x.width);
+  } else if (rtl::IsUnary(x.op)) {
+    r = out->Unary(x.op, sub(0));
+  } else if (rtl::IsBinary(x.op)) {
+    const rtl::ExprId a = sub(0);
+    r = out->Binary(x.op, a, sub(1));
+  } else if (x.op == Op::kMux) {
+    const rtl::ExprId sel = sub(0), then_e = sub(1);
+    r = out->Mux(sel, then_e, sub(2));
+  } else if (x.op == Op::kConcat) {
+    std::vector<rtl::ExprId> parts;
+    for (size_t i = 0; i < x.args.size(); ++i) parts.push_back(sub(i));
+    r = out->Concat(parts);
+  } else if (x.op == Op::kSlice) {
+    r = out->Slice(sub(0), x.hi, x.lo);
+  } else {
+    r = out->Extend(x.op, sub(0), x.width);
+  }
+  (*memo)[e] = r;
+  return r;
+}
+
+uint64_t Fold(const RandomNetlist& n, const Simulator& sim, rtl::ExprId e) {
+  rtl::Design out("folded");
+  std::map<rtl::ExprId, rtl::ExprId> memo;
+  const rtl::ExprId folded = Substitute(n, sim, e, &out, &memo);
+  return rtl::EvalConstExpr(out, folded).value();
+}
+
+// Input values that hit the edge cases: zero (div/mod by zero), all-ones,
+// shift amounts around and past the width, sign bits, random bits.
+uint64_t EdgyValue(Rng& rng, unsigned width) {
+  switch (rng.Below(5)) {
+    case 0: return 0;
+    case 1: return LowMask(width);
+    case 2: return TruncBits(rng.Below(70), width);
+    case 3: return TruncBits(uint64_t{1} << (width - 1), width);
+    default: return rng.Bits(width);
+  }
+}
+
+// Per-op semantics: the settled comb outputs, each flop's next value and
+// the write port's effect equal constant folding of the same trees.
+TEST(EvalDifferentialTest, OpsMatchConstantFolding) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    const RandomNetlist n = BuildRandomNetlist(rng, 120);
+    auto sim = MustCreate(n.design);
+    const unsigned mem_width = n.design.memory(n.mem).width;
+    for (int trial = 0; trial < 12; ++trial) {
+      for (rtl::SignalId in : n.inputs)
+        ASSERT_TRUE(sim.PokeInput(in, EdgyValue(rng, n.design.signal(in).width))
+                        .ok());
+      for (rtl::SignalId r : n.regs)
+        ASSERT_TRUE(sim.PokeRegister(n.design.signal(r).name,
+                                     EdgyValue(rng, n.design.signal(r).width))
+                        .ok());
+      for (unsigned w = 0; w < 5; ++w)
+        ASSERT_TRUE(
+            sim.PokeMemory("mem", w, EdgyValue(rng, mem_width)).ok());
+
+      for (const auto& [signal, value] : n.wire_value)
+        ASSERT_EQ(sim.PeekId(signal), Fold(n, sim, value))
+            << "seed " << seed << " trial " << trial << " signal "
+            << n.design.signal(signal).name;
+
+      std::map<rtl::SignalId, uint64_t> next;
+      for (const auto& [reg, value] : n.reg_next)
+        next[reg] = TruncBits(Fold(n, sim, value), n.design.signal(reg).width);
+      std::vector<uint64_t> words;
+      for (unsigned w = 0; w < 5; ++w)
+        words.push_back(sim.PeekMemory("mem", w).value());
+      const uint64_t addr = Fold(n, sim, n.port.addr);
+      if (Fold(n, sim, n.port.enable) != 0 && addr < 5)
+        words[addr] = TruncBits(Fold(n, sim, n.port.data), mem_width);
+
+      sim.Tick();
+      for (const auto& [reg, value] : next)
+        ASSERT_EQ(sim.PeekId(reg), value) << "seed " << seed << " reg "
+                                          << n.design.signal(reg).name;
+      for (unsigned w = 0; w < 5; ++w)
+        ASSERT_EQ(sim.PeekMemory("mem", w).value(), words[w])
+            << "seed " << seed << " word " << w;
+    }
+  }
+}
+
+HardwareState RandomState(Rng& rng, const rtl::Design& d) {
+  HardwareState st;
+  for (size_t i = 0; i < d.flops().size(); ++i)
+    st.flops.push_back(rng.Chance(0.5) ? rng.Next() : rng.Bits(2));
+  for (const rtl::Memory& m : d.memories()) {
+    st.memories.emplace_back();
+    for (unsigned w = 0; w < m.depth; ++w)
+      st.memories.back().push_back(rng.Chance(0.5) ? rng.Next() : 0);
+  }
+  return st;
+}
+
+// Drives `live` — a long-lived simulator whose evaluation skips unchanged
+// cones — through random pokes, restores, clocked loads and cycles, and
+// checks it every cycle against a fresh simulator put into the same
+// state and inputs: every signal before and after a clock edge, every
+// memory word, and the delta the next capture emits. `drive_inputs`
+// applies this cycle's stimulus to `live`.
+template <typename DriveInputs>
+void RunLockstep(const rtl::Design& d, Rng& rng, int cycles,
+                 DriveInputs drive_inputs) {
+  auto live = MustCreate(d);
+  std::vector<rtl::SignalId> inputs;
+  for (size_t s = 0; s < d.signals().size(); ++s)
+    if (d.signal(static_cast<rtl::SignalId>(s)).kind == rtl::SignalKind::kInput)
+      inputs.push_back(static_cast<rtl::SignalId>(s));
+  HardwareState sync_state = live.DumpState();  // the last sync point
+  HardwareState saved = sync_state;
+  std::vector<rtl::MemoryId> all_memories;
+  for (size_t m = 0; m < d.memories().size(); ++m)
+    all_memories.push_back(static_cast<rtl::MemoryId>(m));
+
+  auto expect_same = [&](const Simulator& a, const Simulator& b, int cycle,
+                         const char* when) {
+    for (size_t s = 0; s < d.signals().size(); ++s) {
+      const auto id = static_cast<rtl::SignalId>(s);
+      ASSERT_EQ(a.PeekId(id), b.PeekId(id))
+          << "cycle " << cycle << " " << when << ": " << d.signal(id).name;
+    }
+    ASSERT_EQ(a.DumpState(), b.DumpState()) << "cycle " << cycle << " " << when;
+  };
+
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    drive_inputs(&live);
+    switch (rng.Below(12)) {
+      case 0:
+        if (!d.flops().empty()) {
+          const auto& ff = d.flops()[rng.Below(d.flops().size())];
+          ASSERT_TRUE(live.PokeRegister(d.signal(ff.q).name, rng.Next()).ok());
+        }
+        break;
+      case 1:
+        if (!d.memories().empty()) {
+          const rtl::Memory& m = d.memories()[rng.Below(d.memories().size())];
+          ASSERT_TRUE(live.PokeMemory(m.name,
+                                      static_cast<unsigned>(rng.Below(m.depth)),
+                                      rng.Next())
+                          .ok());
+        }
+        break;
+      case 2:
+        ASSERT_TRUE(live.RestoreState(saved).ok());
+        sync_state = live.DumpState();
+        break;
+      case 3:
+        saved = live.DumpState();
+        break;
+      case 4: {  // revert everything since the sync point
+        StateDelta revert = EmptyDeltaFor(sync_state);
+        revert.base_hash = HashState(sync_state);
+        ASSERT_TRUE(live.RestoreDelta(revert).ok());
+        break;
+      }
+      case 5: {  // move to a random neighbour of the sync point
+        auto helper = MustCreate(d);
+        ASSERT_TRUE(helper.RestoreState(sync_state).ok());
+        ASSERT_TRUE(helper.RestoreState(RandomState(rng, d)).ok());
+        HardwareState target = helper.DumpState();
+        for (size_t i = 0; i < target.flops.size(); ++i)
+          if (rng.Chance(0.7)) target.flops[i] = sync_state.flops[i];
+        auto delta = DiffStates(sync_state, target);
+        ASSERT_TRUE(delta.ok());
+        ASSERT_TRUE(live.RestoreDelta(delta.value()).ok());
+        sync_state = live.DumpState();
+        ASSERT_EQ(sync_state, target);
+        break;
+      }
+      case 6:
+        live.LoadClocked(RandomState(rng, d), all_memories, 3);
+        break;
+      default:
+        break;
+    }
+
+    auto fresh = MustCreate(d);
+    ASSERT_TRUE(fresh.RestoreState(live.DumpState()).ok());
+    for (rtl::SignalId in : inputs)
+      ASSERT_TRUE(fresh.PokeInput(in, live.PeekId(in)).ok());
+    expect_same(live, fresh, cycle, "settled");
+    if (testing::Test::HasFatalFailure()) return;
+    live.Tick();
+    fresh.Tick();
+    expect_same(live, fresh, cycle, "after edge");
+    if (testing::Test::HasFatalFailure()) return;
+
+    if (rng.Chance(0.3)) {
+      const HardwareState now = live.DumpState();
+      auto expected = DiffStates(sync_state, now);
+      ASSERT_TRUE(expected.ok());
+      ASSERT_EQ(live.CaptureDelta(), expected.value()) << "cycle " << cycle;
+      sync_state = now;
+    }
+  }
+}
+
+TEST(EvalDifferentialTest, RandomDesignsMatchFreshSimulator) {
+  for (uint64_t seed = 100; seed < 130; ++seed) {
+    Rng rng(seed);
+    const RandomNetlist n = BuildRandomNetlist(rng, 80);
+    RunLockstep(n.design, rng, 60, [&](Simulator* sim) {
+      if (!rng.Chance(0.5)) return;
+      const rtl::SignalId in = n.inputs[rng.Below(n.inputs.size())];
+      ASSERT_TRUE(
+          sim->PokeInput(in, EdgyValue(rng, n.design.signal(in).width)).ok());
+    });
+    if (HasFatalFailure()) FAIL() << "seed " << seed;
+  }
+}
+
+// The SoC under MMIO traffic that keeps its accelerators busy: AES and
+// SHA-256 starts, key/message/timer/UART register writes and reads
+// (including UART FIFO pops), among idle cycles.
+TEST(EvalDifferentialTest, SocUnderMmioMatchesFreshSimulator) {
+  const rtl::Design soc =
+      Compile(periph::BuildSoc(periph::DefaultCorpus()));
+  Rng rng(2026);
+  bool reset_done = false;
+  RunLockstep(soc, rng, 250, [&](Simulator* sim) {
+    if (!reset_done) {
+      ASSERT_TRUE(sim->PokeInput("uart_rx", 1).ok());
+      ASSERT_TRUE(sim->Reset().ok());
+      reset_done = true;
+    }
+    constexpr uint32_t kRegs[] = {
+        0x200, 0x204, 0x210, 0x220, 0x230,          // AES
+        0x300, 0x304, 0x340, 0x37c, 0x380,          // SHA-256
+        0x000, 0x004, 0x008, 0x00c, 0x010,          // timer
+        0x100, 0x104, 0x108, 0x10c};                // UART
+    const uint64_t roll = rng.Below(10);
+    uint32_t addr = kRegs[rng.Below(std::size(kRegs))];
+    uint64_t wdata = rng.Bits(32);
+    if (roll == 0) {  // restart an accelerator
+      addr = rng.Chance(0.5) ? 0x200 : 0x300;
+      wdata = addr == 0x300 ? 0x5 : 0x1;
+    }
+    const bool write = roll < 4, read = roll >= 4 && roll < 6;
+    ASSERT_TRUE(sim->PokeInput("sel", write || read).ok());
+    ASSERT_TRUE(sim->PokeInput("wr", write).ok());
+    ASSERT_TRUE(sim->PokeInput("rd", read).ok());
+    ASSERT_TRUE(sim->PokeInput("addr", addr).ok());
+    ASSERT_TRUE(sim->PokeInput("wdata", wdata).ok());
+  });
+}
 
 }  // namespace
 }  // namespace hardsnap::sim
